@@ -125,6 +125,9 @@ void write_json(const char* path, const std::vector<BatchResult>& rows,
   std::fprintf(f, "  \"pool_threads\": %zu,\n", pool_threads);
   std::fprintf(
       f, "  \"gated_metrics\": [\"speedup_vs_dynamic\", \"equivalence_exact\"],\n");
+  // Exactness flags: gated for equality and never derated (bench_gate.py).
+  std::fprintf(
+      f, "  \"exact_metrics\": [\"equivalence_exact\", \"equivalence_min\"],\n");
   std::fprintf(f, "  \"shapes\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BatchResult& r = rows[i];

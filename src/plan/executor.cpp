@@ -1,7 +1,6 @@
 #include "plan/executor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -9,6 +8,7 @@
 #include "plan/trace.hpp"
 #include "sdl/description.hpp"
 #include "sdl/taxonomy.hpp"
+#include "tensor/kernels/rows.hpp"
 
 namespace tsdx::plan {
 
@@ -40,24 +40,6 @@ std::shared_ptr<const Plan> PlanCache::get_or_compile(
   plans_.emplace(input_shape, plan);
   return plan;
 }
-
-namespace {
-
-/// Exactly tensor::softmax_lastdim's per-row arithmetic (and therefore
-/// exactly what the dynamic predict_with_confidence computes).
-void softmax_row(float* y, const float* x, std::int64_t d) {
-  float mx = x[0];
-  for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-  float sum = 0.0f;
-  for (std::int64_t i = 0; i < d; ++i) {
-    y[i] = std::exp(x[i] - mx);
-    sum += y[i];
-  }
-  const float inv = 1.0f / sum;
-  for (std::int64_t i = 0; i < d; ++i) y[i] *= inv;
-}
-
-}  // namespace
 
 PlanExecutor::PlanExecutor(
     std::shared_ptr<const core::ScenarioExtractor> extractor,
@@ -120,7 +102,9 @@ std::vector<core::ExtractionResult> PlanExecutor::extract_batch(
     const float* logits = plan->logits_ptr(s, arena);
     const auto c = static_cast<std::int64_t>(sdl::kSlotCardinality[s]);
     for (std::int64_t i = 0; i < b; ++i) {
-      softmax_row(probs_.data(), logits + i * c, c);
+      // tensor::softmax_lastdim's row kernel, as the dynamic
+      // predict_with_confidence computes it.
+      tensor::kernels::softmax_row(probs_.data(), logits + i * c, c);
       std::int64_t best = 0;
       for (std::int64_t j = 1; j < c; ++j) {
         if (probs_[static_cast<std::size_t>(j)] >

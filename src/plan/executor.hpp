@@ -1,7 +1,9 @@
 // executor.hpp — running compiled plans in the serving path.
 //
 // Three pieces:
-//   * Arena       — one 64-byte-aligned block per worker. grow() events are
+//   * Arena       — one contiguous float block per worker (operator new's
+//                   max_align_t alignment; the 64-byte rounding lives in
+//                   the memory planner's offsets). Growth events are
 //                   counted so tests can assert the hot path stops
 //                   allocating after warm-up.
 //   * PlanCache   — geometry -> compiled plan, shared across workers behind

@@ -3,32 +3,19 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 
 #include "core/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/gemm_wide.hpp"
 #include "plan/memory.hpp"
 #include "plan/trace.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 
 namespace tsdx::plan {
-
-namespace wide {
-// Portable-TU definition: the wide kernels themselves may only execute on
-// hosts that pass this check, so the check must not live in the AVX2 TU.
-bool cpu_supported() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-}  // namespace wide
 
 namespace tt = tsdx::tensor;
 namespace kernels = tsdx::tensor::kernels;
@@ -58,31 +45,6 @@ namespace {
 /// a fixed counter keeps the kernel allocation-free.
 constexpr std::size_t kMaxRank = 16;
 
-// Same constants as tensor::gelu — the fused kernel must reproduce its
-// arithmetic exactly.
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-
-inline float gelu_one(float x) {
-  const float u = kGeluC * (x + kGeluA * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(u));
-}
-
-/// GEMM entry for compiled execution: the wide (AVX2) clone when both the
-/// binary and the running CPU support it, the portable kernel otherwise.
-/// Identical results either way — see gemm_wide.hpp for the contract.
-inline void plan_mm(kernels::Trans ta, kernels::Trans tb, std::int64_t batch,
-                    std::int64_t m, std::int64_t k, std::int64_t n,
-                    const float* a, const float* b, std::int64_t b_stride,
-                    float* c) {
-  static const bool use_wide = wide::kCompiledWide && wide::cpu_supported();
-  if (use_wide) {
-    wide::mm_batched(ta, tb, batch, m, k, n, a, b, b_stride, c);
-  } else {
-    kernels::mm_batched(ta, tb, batch, m, k, n, a, b, b_stride, c);
-  }
-}
-
 /// Per-run pointer resolution: value id -> buffer.
 struct Binding {
   const Graph& graph;
@@ -111,19 +73,6 @@ struct Binding {
     return arena + v.offset / sizeof(float);
   }
 };
-
-/// Row softmax, in place: exactly tensor::softmax_lastdim's per-row loop.
-inline void softmax_row(float* y, const float* x, std::int64_t d) {
-  float mx = x[0];
-  for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-  float sum = 0.0f;
-  for (std::int64_t i = 0; i < d; ++i) {
-    y[i] = std::exp(x[i] - mx);
-    sum += y[i];
-  }
-  const float inv = 1.0f / sum;
-  for (std::int64_t i = 0; i < d; ++i) y[i] *= inv;
-}
 
 /// Broadcast add with the modulo hoisted out: out[i] = big[i] + small[i % m]
 /// computed block-by-block so the inner loop is a plain vectorizable
@@ -171,7 +120,7 @@ void run_op(const Op& op, const Binding& b) {
     case OpType::kGelu: {
       const float* x = b.ptr(op.inputs[0]);
       float* out = b.wptr(op.out);
-      for (std::int64_t i = 0; i < op.rows; ++i) out[i] = gelu_one(x[i]);
+      for (std::int64_t i = 0; i < op.rows; ++i) out[i] = kernels::gelu(x[i]);
       return;
     }
     case OpType::kBiasGelu: {
@@ -187,7 +136,7 @@ void run_op(const Op& op, const Binding& b) {
         const float* xr = x + i0;
         float* yr = out + i0;
         for (std::int64_t j = 0; j < len; ++j) {
-          yr[j] = gelu_one(xr[j] + bias[j]);
+          yr[j] = kernels::gelu(xr[j] + bias[j]);
         }
       }
       return;
@@ -203,12 +152,12 @@ void run_op(const Op& op, const Binding& b) {
       // One dispatch for the whole batch — attention's per-(clip, head)
       // products are tiny, and per-slice mm() calls would pay the span /
       // metrics / pool / pack-buffer cost `batch` times (the dynamic
-      // interpreter does; the compiled path is where the win comes from).
+      // interpreter does).
       const std::int64_t bstride =
           op.shared_rhs ? 0 : (nt ? n * k : k * n);
-      plan_mm(kernels::Trans::kN,
-              nt ? kernels::Trans::kT : kernels::Trans::kN, batch, m, k, n, x,
-              y, bstride, out);
+      kernels::mm_batched(kernels::Trans::kN,
+                          nt ? kernels::Trans::kT : kernels::Trans::kN, batch,
+                          m, k, n, x, y, bstride, out);
       return;
     }
     case OpType::kPermute: {
@@ -268,7 +217,7 @@ void run_op(const Op& op, const Binding& b) {
       const std::int64_t grain = par::suggest_grain(rows, d);
       par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
-          softmax_row(out + r * d, x + r * d, d);
+          kernels::softmax_row(out + r * d, x + r * d, d);
         }
       });
       return;
@@ -280,14 +229,7 @@ void run_op(const Op& op, const Binding& b) {
       const std::int64_t grain = par::suggest_grain(rows, d);
       par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
-          const float* xr = x + r * d;
-          float* yr = out + r * d;
-          float mx = xr[0];
-          for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, xr[i]);
-          float sum = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) sum += std::exp(xr[i] - mx);
-          const float lse = mx + std::log(sum);
-          for (std::int64_t i = 0; i < d; ++i) yr[i] = xr[i] - lse;
+          kernels::log_softmax_row(out + r * d, x + r * d, d);
         }
       });
       return;
@@ -302,22 +244,7 @@ void run_op(const Op& op, const Binding& b) {
       const std::int64_t grain = par::suggest_grain(rows, d);
       par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
-          const float* xr = x + r * d;
-          float* yr = out + r * d;
-          float mean = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) mean += xr[i];
-          mean /= static_cast<float>(d);
-          float var = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float c = xr[i] - mean;
-            var += c * c;
-          }
-          var /= static_cast<float>(d);
-          const float istd = 1.0f / std::sqrt(var + eps);
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float xh = (xr[i] - mean) * istd;
-            yr[i] = xh * gamma[i] + beta[i];
-          }
+          kernels::layer_norm_row(out + r * d, x + r * d, gamma, beta, d, eps);
         }
       });
       return;
@@ -342,20 +269,7 @@ void run_op(const Op& op, const Binding& b) {
           // normalization below sees the identical float values the
           // standalone add would have produced.
           for (std::int64_t i = 0; i < d; ++i) sr[i] = xr[i] + yr[i];
-          float mean = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) mean += sr[i];
-          mean /= static_cast<float>(d);
-          float var = 0.0f;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float c = sr[i] - mean;
-            var += c * c;
-          }
-          var /= static_cast<float>(d);
-          const float istd = 1.0f / std::sqrt(var + eps);
-          for (std::int64_t i = 0; i < d; ++i) {
-            const float xh = (sr[i] - mean) * istd;
-            nr[i] = xh * gamma[i] + beta[i];
-          }
+          kernels::layer_norm_row(nr, sr, gamma, beta, d, eps);
         }
       });
       return;
@@ -366,8 +280,8 @@ void run_op(const Op& op, const Binding& b) {
       float* out = b.wptr(op.out);
       const std::int64_t batch = op.batch, m = op.m, kk = op.k, n = op.n;
       std::fill_n(out, batch * m * n, 0.0f);
-      plan_mm(kernels::Trans::kN, kernels::Trans::kT, batch, m, kk, n, q, k,
-              op.shared_rhs ? 0 : n * kk, out);
+      kernels::mm_batched(kernels::Trans::kN, kernels::Trans::kT, batch, m, kk,
+                          n, q, k, op.shared_rhs ? 0 : n * kk, out);
       const std::int64_t rows = batch * m;
       const float scale = op.scalar;
       const std::int64_t grain = par::suggest_grain(rows, n);
@@ -378,7 +292,7 @@ void run_op(const Op& op, const Binding& b) {
           // stream as mul_scalar + softmax_lastdim, one buffer instead of
           // three.
           for (std::int64_t i = 0; i < n; ++i) row[i] *= scale;
-          softmax_row(row, row, n);
+          kernels::softmax_row(row, row, n);
         }
       });
       return;

@@ -8,7 +8,8 @@
 // the stored matrix (Trans::kT): with ta == kT, `a` is stored [K, M]; with
 // tb == kT, `b` is stored [N, K]. Accumulating (+=) semantics serve both the
 // forward pass (callers pass a zeroed C) and gradient accumulation (C is the
-// grad buffer).
+// grad buffer). Every caller — autograd ops, the compiled plan, training —
+// goes through these entries.
 //
 // Implementation notes (see DESIGN.md "Compute kernels & threading model"):
 //
@@ -23,6 +24,12 @@
 // * For every C element, contributions accumulate in ascending-k order —
 //   the same order as the textbook ikj loop — so the blocked kernel is
 //   bit-identical to the naive one (no reassociation, no reordering).
+// * One loop nest (gemm_body.inc), compiled twice: a portable clone for
+//   the baseline ISA and, on x86-64 GCC/Clang builds, an AVX2 clone built
+//   without FMA. mm()/mm_batched() pick the AVX2 clone once per process
+//   when the running CPU has AVX2. Vectorizing across independent output
+//   columns cannot reorder any element's own operations, so both clones
+//   produce the same bits; kernel_test checks each clone the host runs.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +71,8 @@ inline void mm_tn(std::int64_t m, std::int64_t k, std::int64_t n,
 /// are bit-identical to that loop at any thread count; what changes is the
 /// dispatch cost: one trace span, one metrics update, one pool invocation
 /// and one set of pack buffers for the whole batch, instead of one each per
-/// slice. The plan runtime (src/plan) leans on this for attention's many
-/// tiny per-(clip, head) products.
+/// slice. The compiled plan (src/plan) runs every GEMM through here,
+/// attention's many tiny per-(clip, head) products included.
 void mm_batched(Trans ta, Trans tb, std::int64_t batch, std::int64_t m,
                 std::int64_t k, std::int64_t n, const float* a,
                 const float* b, std::int64_t b_stride, float* c);
@@ -73,5 +80,29 @@ void mm_batched(Trans ta, Trans tb, std::int64_t batch, std::int64_t m,
 /// Row-partition grain for an (m, k, n) product: a pure function of the
 /// shape (never the thread count), a multiple of the micro-kernel height.
 std::int64_t row_grain(std::int64_t m, std::int64_t k, std::int64_t n);
+
+namespace detail {
+
+/// A compiled copy of the GEMM loop nest. Test surface only: production
+/// code calls mm()/mm_batched(), which dispatch to active_clone().
+enum class Clone : std::uint8_t { kPortable, kAvx2 };
+inline constexpr Clone kClones[] = {Clone::kPortable, Clone::kAvx2};
+
+const char* to_string(Clone clone);
+
+/// Built into this binary and executable on the running CPU.
+bool runnable(Clone clone);
+
+/// The clone mm()/mm_batched() run: AVX2 when runnable, else portable.
+/// Fixed for the life of the process.
+Clone active_clone();
+
+/// mm_batched() on an explicit clone, which must be runnable().
+void mm_batched_on(Clone clone, Trans ta, Trans tb, std::int64_t batch,
+                   std::int64_t m, std::int64_t k, std::int64_t n,
+                   const float* a, const float* b, std::int64_t b_stride,
+                   float* c);
+
+}  // namespace detail
 
 }  // namespace tsdx::tensor::kernels

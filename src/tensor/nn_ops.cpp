@@ -7,6 +7,7 @@
 #include "core/check.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 #include "tensor/trace_hook.hpp"
 
 namespace tsdx::tensor {
@@ -116,21 +117,13 @@ Tensor layer_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
       const float* xr = xv.data() + r * d;
-      float mean = 0.0f;
-      for (std::int64_t i = 0; i < d; ++i) mean += xr[i];
-      mean /= static_cast<float>(d);
-      float var = 0.0f;
-      for (std::int64_t i = 0; i < d; ++i) {
-        const float c = xr[i] - mean;
-        var += c * c;
-      }
-      var /= static_cast<float>(d);
-      const float istd = 1.0f / std::sqrt(var + eps);
-      (*inv_std)[static_cast<std::size_t>(r)] = istd;
+      // kernels::layer_norm_row's arithmetic, keeping xhat for backward.
+      const kernels::RowMoments mo = kernels::row_moments(xr, d, eps);
+      (*inv_std)[static_cast<std::size_t>(r)] = mo.inv_std;
       float* xh = xhat->data() + r * d;
       float* yr = out.data() + r * d;
       for (std::int64_t i = 0; i < d; ++i) {
-        xh[i] = (xr[i] - mean) * istd;
+        xh[i] = (xr[i] - mo.mean) * mo.inv_std;
         yr[i] = xh[i] * gv[i] + bv[i];
       }
     }
@@ -212,17 +205,8 @@ Tensor cross_entropy_logits(const Tensor& logits,
     const std::int64_t t = targets[static_cast<std::size_t>(r)];
     TSDX_CHECK(t >= 0 && t < c, "cross_entropy: target ", t,
                " out of range [0, ", c, ")");
-    const float* x = lv.data() + r * c;
-    float mx = x[0];
-    for (std::int64_t i = 1; i < c; ++i) mx = std::max(mx, x[i]);
-    float sum = 0.0f;
     float* p = probs->data() + r * c;
-    for (std::int64_t i = 0; i < c; ++i) {
-      p[i] = std::exp(x[i] - mx);
-      sum += p[i];
-    }
-    const float inv = 1.0f / sum;
-    for (std::int64_t i = 0; i < c; ++i) p[i] *= inv;
+    kernels::softmax_row(p, lv.data() + r * c, c);
     loss -= std::log(std::max(p[t], 1e-12f));
   }
   loss /= static_cast<double>(b);

@@ -6,6 +6,7 @@
 #include "core/check.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 #include "tensor/trace_hook.hpp"
 
 namespace tsdx::tensor {
@@ -185,19 +186,13 @@ Tensor relu(const Tensor& a) {
 }
 
 Tensor gelu(const Tensor& a) {
-  // 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
   Tensor out = unary_op(
-      a,
-      [](float x) {
-        const float u = kC * (x + kA * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(u));
-      },
+      a, [](float x) { return kernels::gelu(x); },
       [](float x, float) {
-        const float u = kC * (x + kA * x * x * x);
+        using kernels::kGeluA, kernels::kGeluC;
+        const float u = kGeluC * (x + kGeluA * x * x * x);
         const float t = std::tanh(u);
-        const float du = kC * (1.0f + 3.0f * kA * x * x);
+        const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
         return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
       });
   if (trace::active()) {
@@ -802,17 +797,7 @@ Tensor softmax_lastdim(const Tensor& a) {
   const std::int64_t grain = par::suggest_grain(rows, d);
   par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
-      const float* x = av.data() + r * d;
-      float* y = out.data() + r * d;
-      float mx = x[0];
-      for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-      float sum = 0.0f;
-      for (std::int64_t i = 0; i < d; ++i) {
-        y[i] = std::exp(x[i] - mx);
-        sum += y[i];
-      }
-      const float inv = 1.0f / sum;
-      for (std::int64_t i = 0; i < d; ++i) y[i] *= inv;
+      kernels::softmax_row(out.data() + r * d, av.data() + r * d, d);
     }
   });
   NodePtr an = a.node();
@@ -850,14 +835,7 @@ Tensor log_softmax_lastdim(const Tensor& a) {
   const std::int64_t grain = par::suggest_grain(rows, d);
   par::parallel_for(rows, grain, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
-      const float* x = av.data() + r * d;
-      float* y = out.data() + r * d;
-      float mx = x[0];
-      for (std::int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-      float sum = 0.0f;
-      for (std::int64_t i = 0; i < d; ++i) sum += std::exp(x[i] - mx);
-      const float lse = mx + std::log(sum);
-      for (std::int64_t i = 0; i < d; ++i) y[i] = x[i] - lse;
+      kernels::log_softmax_row(out.data() + r * d, av.data() + r * d, d);
     }
   });
   NodePtr an = a.node();

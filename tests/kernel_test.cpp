@@ -3,7 +3,8 @@
 //
 //   1. The blocked, packed GEMM is BIT-identical to the textbook ikj loop
 //      for every transpose variant, including shapes that don't divide the
-//      micro-kernel or panel sizes.
+//      micro-kernel or panel sizes — on every compiled clone of the loop
+//      nest (portable, AVX2) the host can execute.
 //   2. Results are BIT-identical at any thread count (1, 2, 8), because work
 //      partitioning is a pure function of the shape.
 //   3. parallel_for covers every index exactly once, and tree_sum is both
@@ -71,28 +72,82 @@ constexpr std::int64_t kDims[] = {1, 3, 17, 64, 129};
 }  // namespace
 
 TEST(GemmKernelTest, BlockedMatchesNaiveBitExact) {
-  for (const MmCase& v : kVariants) {
-    for (std::int64_t m : kDims) {
-      for (std::int64_t k : kDims) {
-        for (std::int64_t n : kDims) {
-          const auto a = random_vec(static_cast<std::size_t>(m * k),
-                                    1000 + static_cast<std::uint64_t>(m));
-          const auto b = random_vec(static_cast<std::size_t>(k * n),
-                                    2000 + static_cast<std::uint64_t>(n));
-          // Non-zero C exercises the accumulate (+=) semantics.
-          auto c_blocked = random_vec(static_cast<std::size_t>(m * n), 3000);
-          auto c_naive = c_blocked;
-          kn::mm(v.ta, v.tb, m, k, n, a.data(), b.data(), c_blocked.data());
-          naive_mm(v.ta, v.tb, m, k, n, a.data(), b.data(), c_naive.data());
-          for (std::size_t i = 0; i < c_blocked.size(); ++i) {
-            ASSERT_EQ(c_blocked[i], c_naive[i])
-                << "variant=" << v.name << " m=" << m << " k=" << k
-                << " n=" << n << " at flat index " << i;
+  // Every GEMM clone this host can execute, not just the one mm() picked:
+  // the dispatched clone is what the host runs, and the portable clone is
+  // what a host without AVX2 runs. Each clone runs a single product
+  // (batch 1), a strided batch and a shared-B batch (b_stride 0), at 1, 2
+  // and 8 threads, against the naive loop per slice.
+  constexpr std::int64_t kBatch = 3;
+  struct Stride {
+    std::int64_t batch;
+    bool shared;
+    const char* name;
+  };
+  constexpr Stride kStrides[] = {{1, false, "single"},
+                                 {kBatch, false, "strided"},
+                                 {kBatch, true, "shared"}};
+  int clones_run = 0;
+  for (const kn::detail::Clone clone : kn::detail::kClones) {
+    if (!kn::detail::runnable(clone)) continue;
+    ++clones_run;
+    for (const MmCase& v : kVariants) {
+      for (std::int64_t m : kDims) {
+        for (std::int64_t k : kDims) {
+          for (std::int64_t n : kDims) {
+            for (const Stride& st : kStrides) {
+              const std::int64_t b_slices = st.shared ? 1 : st.batch;
+              const std::int64_t b_stride = st.shared ? 0 : k * n;
+              const auto a = random_vec(
+                  static_cast<std::size_t>(st.batch * m * k),
+                  1000 + static_cast<std::uint64_t>(m));
+              const auto b = random_vec(
+                  static_cast<std::size_t>(b_slices * k * n),
+                  2000 + static_cast<std::uint64_t>(n));
+              // Non-zero C exercises the accumulate (+=) semantics.
+              const auto c0 = random_vec(
+                  static_cast<std::size_t>(st.batch * m * n), 3000);
+              auto c_naive = c0;
+              for (std::int64_t g = 0; g < st.batch; ++g) {
+                naive_mm(v.ta, v.tb, m, k, n, a.data() + g * m * k,
+                         b.data() + g * b_stride, c_naive.data() + g * m * n);
+              }
+              if (st.batch == 1 && clone == kn::detail::active_clone()) {
+                auto c_mm = c0;
+                kn::mm(v.ta, v.tb, m, k, n, a.data(), b.data(), c_mm.data());
+                ASSERT_EQ(c_mm, c_naive)
+                    << "mm() variant=" << v.name << " m=" << m << " k=" << k
+                    << " n=" << n;
+              }
+              for (std::size_t threads : {1u, 2u, 8u}) {
+                par::set_threads(threads);
+                auto c_blocked = c0;
+                kn::detail::mm_batched_on(clone, v.ta, v.tb, st.batch, m, k,
+                                          n, a.data(), b.data(), b_stride,
+                                          c_blocked.data());
+                for (std::size_t i = 0; i < c_blocked.size(); ++i) {
+                  ASSERT_EQ(c_blocked[i], c_naive[i])
+                      << "clone=" << kn::detail::to_string(clone)
+                      << " variant=" << v.name << " " << st.name
+                      << " m=" << m << " k=" << k << " n=" << n
+                      << " threads=" << threads << " at flat index " << i;
+                }
+              }
+              par::set_threads(1);
+            }
           }
         }
       }
     }
   }
+  EXPECT_GE(clones_run, 1);
+}
+
+TEST(GemmKernelTest, DispatchPicksTheWidestRunnableClone) {
+  using kn::detail::Clone;
+  EXPECT_TRUE(kn::detail::runnable(Clone::kPortable));
+  EXPECT_TRUE(kn::detail::runnable(kn::detail::active_clone()));
+  EXPECT_EQ(kn::detail::active_clone() == Clone::kAvx2,
+            kn::detail::runnable(Clone::kAvx2));
 }
 
 TEST(GemmKernelTest, ThreadCountDoesNotChangeBits) {

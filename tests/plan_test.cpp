@@ -21,6 +21,8 @@
 //   negatively cached (one plan.trace_errors bump, not one per batch).
 // * End-to-end: an InferenceServer with use_compiled_plan on answers every
 //   request identically to the dynamic server.
+// * Metrics: a plan's GEMMs run through tensor::kernels, so one Plan::run
+//   adds exactly its matmul-family ops' FLOPs to gemm.flops.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -300,6 +302,33 @@ TEST(PlanTest, ThreadCountInvariance) {
     }
   }
   par::set_threads(1);
+}
+
+TEST(PlanTest, RunCountsEveryGemmFlop) {
+  // A compiled plan runs its GEMMs through tensor::kernels like every other
+  // caller, so gemm.flops sees them: one Plan::run adds exactly
+  // 2*batch*m*k*n per matmul-family op.
+  const core::ModelConfig mc = small_config(core::AttentionKind::kDividedST);
+  const auto extractor = frozen_extractor(mc);
+  const tt::Shape shape = input_shape(mc);
+  const auto compiled =
+      plan::Plan::compile(extractor.model(), shape, plan::CompileOptions{});
+  std::uint64_t expected = 0;
+  for (const plan::Op& op : compiled->graph().ops) {
+    if (op.type == plan::OpType::kMatmul ||
+        op.type == plan::OpType::kMatmulNt ||
+        op.type == plan::OpType::kScaledSoftmaxNt) {
+      expected += static_cast<std::uint64_t>(2 * op.batch * op.m * op.k * op.n);
+    }
+  }
+  ASSERT_GT(expected, 0u);
+
+  const std::vector<float> values = probe_values(shape);
+  std::vector<float> arena(compiled->arena_bytes() / sizeof(float));
+  obs::Counter& flops = obs::Registry::global().counter("gemm.flops");
+  const std::uint64_t before = flops.value();
+  compiled->run(values.data(), arena.data());
+  EXPECT_EQ(flops.value() - before, expected);
 }
 
 TEST(PlanTest, ExecutorReusesArenaAndMatchesDynamicPath) {

@@ -19,9 +19,16 @@ stale baseline, or a bench that stopped emitting a metric it is supposed to
 defend) is a gate FAILURE with an expected-vs-found message, never a silent
 skip.
 
-The baseline is recorded on a reference run and then derated (multiplied by
-0.8) before committing, so the gate tolerates runner-to-runner variance on
-top of the explicit threshold; it exists to catch order-of-magnitude
+Exactness flags are not speeds. A report's "exact_metrics" array (read from
+the baseline and the current report alike) names them, e.g. bench_k2_plan's
+equivalence_exact: 1.0 iff the compiled plan is bit-identical to the
+dynamic path. A gated exact metric must EQUAL its baseline (no threshold),
+and --derate leaves exact metrics untouched, so a committed baseline holds
+them at 1.0. tools/test_bench_gate.py checks that a non-exact report fails.
+
+The baseline is recorded on a reference run and then derated (speed
+metrics multiplied by 0.8) before committing, so the gate tolerates
+runner-to-runner variance on top of the explicit threshold; it exists to catch order-of-magnitude
 regressions (a dropped fast path, an accidental de-vectorization, a pool that
 stopped parallelizing, an index scanning everything), not single-digit noise.
 Refresh with e.g.:
@@ -57,13 +64,20 @@ def gated_metrics(report: dict) -> tuple[str, ...]:
     return tuple(report.get("gated_metrics", DEFAULT_GATED_METRICS))
 
 
+def exact_metrics(*reports: dict) -> set[str]:
+    """Metrics compared for equality and never derated (any report's list)."""
+    return {m for r in reports for m in r.get("exact_metrics", ())}
+
+
 def derate(report: dict, factor: float) -> dict:
     out = dict(report)
     out["derated_by"] = factor
     out["shapes"] = []
+    exact = exact_metrics(report)
     # scalar_gflops is ungated context in the K1 report but derated alongside
     # so the baseline file reads consistently.
-    derated_keys = ("scalar_gflops",) + gated_metrics(report)
+    derated_keys = [k for k in ("scalar_gflops",) + gated_metrics(report)
+                    if k not in exact]
     for shape in report["shapes"]:
         row = dict(shape)
         for key in derated_keys:
@@ -72,7 +86,8 @@ def derate(report: dict, factor: float) -> dict:
         out["shapes"].append(row)
     if "summary" in out:
         out["summary"] = {
-            k: (round(v * factor, 4) if isinstance(v, float) else v)
+            k: (round(v * factor, 4) if isinstance(v, float) and k not in exact
+                else v)
             for k, v in report["summary"].items()
         }
     return out
@@ -81,6 +96,7 @@ def derate(report: dict, factor: float) -> dict:
 def compare(current: dict, baseline: dict, threshold: float) -> tuple[str, list[str]]:
     """Return (markdown table, list of failure strings)."""
     base_by_name = {s["name"]: s for s in baseline["shapes"]}
+    exact = exact_metrics(current, baseline)
     failures: list[str] = []
     lines = [
         "| shape | metric | baseline | current | ratio | status |",
@@ -117,6 +133,16 @@ def compare(current: dict, baseline: dict, threshold: float) -> tuple[str, list[
                              f"| — | **FAIL** (bad baseline) |")
                 continue
             ratio = cur_v / base_v
+            if metric in exact:
+                ok = cur_v == base_v
+                if not ok:
+                    failures.append(
+                        f"{name}/{metric}: {cur_v} vs baseline {base_v} "
+                        f"(exact metric, must be equal)")
+                lines.append(
+                    f"| {name} | {metric} | {base_v} | {cur_v} | {ratio:.2f}x "
+                    f"| {'ok' if ok else '**FAIL** (must equal baseline)'} |")
+                continue
             ok = ratio >= 1.0 - threshold
             status = "ok" if ok else f"**FAIL** (>{threshold:.0%} drop)"
             if not ok:
@@ -141,7 +167,8 @@ def main() -> int:
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="max tolerated fractional drop (default 0.25)")
     parser.add_argument("--derate", type=float, default=None, metavar="FACTOR",
-                        help="emit CURRENT scaled by FACTOR as a new baseline "
+                        help="emit CURRENT with its speed metrics scaled by "
+                             "FACTOR (exact metrics kept) as a new baseline "
                              "and exit (no gating)")
     args = parser.parse_args()
 
@@ -166,7 +193,8 @@ def main() -> int:
     header = f"## bench-smoke: {bench_name} vs baseline\n"
     verdict = ("\n**Gate: FAIL**\n" + "\n".join(f"- {f}" for f in failures)
                if failures else "\n**Gate: pass** — no metric dropped more "
-                                f"than {args.threshold:.0%}.")
+                                f"than {args.threshold:.0%}; exact metrics "
+                                "equal.")
     report = f"{header}\n{table}\n{verdict}\n"
     print(report)
 

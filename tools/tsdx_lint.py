@@ -78,6 +78,17 @@ Enforced invariants (each maps to a rule id shown in diagnostics):
                     sweeps the new obs v2 state too: the Recorder's ring and
                     the SloEngine's rolling buckets / dump budget are all
                     TSDX_GUARDED_BY their rank-checked mutexes.
+  isa-flags         ISA code-generation flags (-mavx*, -mfma, -march=) in
+                    CMake files, and __attribute__((target(...))) /
+                    [[gnu::target(...)]] / `#pragma GCC target` in sources,
+                    appear only for the one GEMM clone TU,
+                    src/tensor/kernels/gemm_avx2.cpp, and only in the
+                    set_source_files_properties call of
+                    src/tensor/CMakeLists.txt that names it alone. The
+                    loop nest exists once (gemm_body.inc) and the
+                    bit-exactness of every clone is tested per clone in
+                    kernel_test; a second ISA-specific TU would be a copy
+                    nothing keeps in step.
 
 Usage: tsdx_lint.py [repo_root]      (exit 0 = clean, 1 = violations)
 If repo_root is omitted it is derived from this script's location, so the
@@ -86,6 +97,7 @@ linter gives identical results from any working directory.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 from pathlib import Path
@@ -129,6 +141,39 @@ def strip_comments_and_strings(text: str) -> str:
             out.append(ch)
             i += 1
     return "".join(out)
+
+
+# The one translation unit built with ISA code-generation flags, and the
+# CMake file that sets them.
+ISA_CLONE_TU = "src/tensor/kernels/gemm_avx2.cpp"
+ISA_CLONE_CMAKE = "src/tensor/CMakeLists.txt"
+ISA_FLAG = re.compile(r"-m(?:no-)?(?:avx[\w-]*|fma\w*)\b|-march=")
+ISA_ATTRIBUTE = re.compile(
+    r"(?:__attribute__\s*\(\(|\[\[\s*gnu::)\s*target(?:_clones)?\s*\("
+    r"|#\s*pragma\s+(?:GCC|clang)\s+(?:target|attribute\b.*\btarget)")
+# Trees the CMake sweep skips besides build trees.
+SKIP_DIRS = {".git", ".bench_out"}
+
+
+def cmake_commands(text: str) -> list[tuple[int, str, str]]:
+    """(line, command name, argument text) for each command in a CMake file,
+    with `#` comments removed."""
+    clean = "\n".join(re.sub(r'#(?![^"]*"[^"]*$).*', "", line)
+                      for line in text.splitlines())
+    out = []
+    for m in re.finditer(r"\b(\w+)\s*\(", clean):
+        depth, j = 0, m.end() - 1
+        while j < len(clean):
+            if clean[j] == "(":
+                depth += 1
+            elif clean[j] == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            j += 1
+        line = clean.count("\n", 0, m.start()) + 1
+        out.append((line, m.group(1).lower(), clean[m.end():j]))
+    return out
 
 
 class Linter:
@@ -463,6 +508,52 @@ class Linter:
                                    "(or move it above the lock if it is "
                                    f"not shared state): `{stmt}`")
 
+    # ---- isa-flags ----------------------------------------------------------
+
+    def _cmake_files(self) -> list[Path]:
+        files = []
+        for dirpath, dirnames, filenames in os.walk(self.root):
+            # Skip build trees (anything holding a CMakeCache.txt) and VCS
+            # or benchmark output: their generated .cmake files are not ours.
+            dirnames[:] = sorted(
+                d for d in dirnames if d not in SKIP_DIRS
+                and not (Path(dirpath) / d / "CMakeCache.txt").exists())
+            for name in sorted(filenames):
+                if name in ("CMakeLists.txt", "CMakePresets.json") or \
+                        name.endswith(".cmake"):
+                    files.append(Path(dirpath) / name)
+        return files
+
+    def check_isa_flags(self) -> None:
+        hint = (f"ISA-specific code lives only in {ISA_CLONE_TU} (the AVX2 "
+                "clone of the GEMM body, kernels/gemm_body.inc, dispatched "
+                "in kernels/gemm.cpp)")
+        allowed_cmake = self.root / ISA_CLONE_CMAKE
+        for path in self._cmake_files():
+            for line, name, args in cmake_commands(path.read_text()):
+                for m in ISA_FLAG.finditer(args):
+                    sources = args.split("PROPERTIES", 1)[0].split()
+                    if (path == allowed_cmake
+                            and name == "set_source_files_properties"
+                            and sources == [ISA_CLONE_TU.split("src/tensor/",
+                                                               1)[1]]):
+                        continue
+                    self.error(path, line + args.count("\n", 0, m.start()),
+                               "isa-flags",
+                               f"ISA code-generation flag `{m.group(0)}` — "
+                               f"{hint}; set its flags in {ISA_CLONE_CMAKE}")
+        clone = self.root / ISA_CLONE_TU
+        for sub in ("src", "bench", "tests", "examples", "perfbench"):
+            for path in sorted((self.root / sub).rglob("*")):
+                if path.suffix not in (".hpp", ".cpp", ".h", ".inc") or \
+                        path == clone:
+                    continue
+                clean = strip_comments_and_strings(path.read_text())
+                for lineno, text in enumerate(clean.splitlines(), 1):
+                    if ISA_ATTRIBUTE.search(text):
+                        self.error(path, lineno, "isa-flags",
+                                   f"per-function ISA target — {hint}")
+
     # ---- driver -------------------------------------------------------------
 
     def run(self) -> int:
@@ -476,6 +567,7 @@ class Linter:
         self.check_op_shape_validation()
         self.check_raw_mutex()
         self.check_unannotated_shared()
+        self.check_isa_flags()
         if self.errors:
             for e in self.errors:
                 print(e)
