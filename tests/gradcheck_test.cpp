@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "core/video_transformer.hpp"
 #include "nn/attention.hpp"
@@ -40,6 +41,11 @@ struct GradCase {
   OpFn op;              ///< maps inputs to the op result (any shape)
   bool positive = false;  ///< draw inputs from U(0.5, 1.5) instead of N(0,1)
 };
+
+/// Print a case by name. Without this gtest dumps the raw bytes of the struct
+/// (heap pointers included) into `--gtest_list_tests`, so the discovered ctest
+/// names changed with every build and every process.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<GradCase> op_cases() {
   std::vector<GradCase> cases;
