@@ -11,6 +11,11 @@
 // the parallel column scales with cores on the larger shapes while small
 // ones stay on the inline path (grain exceeds the row count).
 //
+// A GELU row times kernels::gelu over the MLP hidden activations of a
+// batch-8 forward against the same formula through std::tanh. Its gated key
+// is the ratio of the two, which a libm call reintroduced into the kernel
+// collapses to about 1 on any host.
+//
 // --smoke runs a reduced rep count and writes BENCH_K1.json (see
 // tools/bench_gate.py, which the bench-smoke CI job runs against the
 // committed bench/BENCH_K1_baseline.json).
@@ -27,6 +32,7 @@
 #include "sim/clipgen.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 #include "tensor/rng.hpp"
 
 using namespace tsdx;
@@ -159,6 +165,43 @@ ShapeResult bench_shape(const ShapeSpec& s, std::size_t reps,
   return result;
 }
 
+/// The MLP hidden activations of a batch-8 forward: 8 clips x 128 tokens,
+/// mlp_hidden 96.
+constexpr std::int64_t kGeluRows = 1024;
+constexpr std::int64_t kGeluCols = 96;
+
+struct GeluResult {
+  double gelu_ns = 0.0;      ///< kernels::gelu, ns per element
+  double tanh_ref_ns = 0.0;  ///< same formula through std::tanh
+  double speedup() const { return tanh_ref_ns / gelu_ns; }
+};
+
+GeluResult bench_gelu(std::size_t reps) {
+  tensor::Rng rng(kDataSeed);
+  std::vector<float> x(static_cast<std::size_t>(kGeluRows * kGeluCols));
+  for (auto& v : x) v = static_cast<float>(rng.normal());
+  std::vector<float> y(x.size());
+  const auto ns_per_elem = [&x](double seconds) {
+    return seconds * 1e9 / static_cast<double>(x.size());
+  };
+  GeluResult r;
+  r.gelu_ns = ns_per_elem(time_best(reps, [&] {
+    for (std::size_t i = 0; i < x.size(); ++i) y[i] = kernels::gelu(x[i]);
+  }));
+  const float gelu_y = y[x.size() / 2];
+  r.tanh_ref_ns = ns_per_elem(time_best(reps, [&] {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float v = x[i];
+      const float u = kernels::kGeluC * (v + kernels::kGeluA * v * v * v);
+      y[i] = 0.5f * v * (1.0f + std::tanh(u));
+    }
+  }));
+  // Read both outputs so neither loop is dead code.
+  volatile float sink = gelu_y + y[x.size() / 2];
+  (void)sink;
+  return r;
+}
+
 double geomean(const std::vector<ShapeResult>& rows,
                double ShapeResult::*field) {
   double log_sum = 0.0;
@@ -167,7 +210,7 @@ double geomean(const std::vector<ShapeResult>& rows,
 }
 
 void write_json(const char* path, const std::vector<ShapeResult>& rows,
-                double forward_1t, double forward_nt,
+                const GeluResult& gelu, double forward_1t, double forward_nt,
                 std::size_t pool_threads) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
@@ -182,14 +225,23 @@ void write_json(const char* path, const std::vector<ShapeResult>& rows,
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"batch\": %lld, \"m\": %lld, "
                  "\"k\": %lld, \"n\": %lld, \"scalar_gflops\": %.4f, "
-                 "\"blocked_gflops\": %.4f, \"parallel_gflops\": %.4f}%s\n",
+                 "\"blocked_gflops\": %.4f, \"parallel_gflops\": %.4f},\n",
                  r.spec->name, static_cast<long long>(r.spec->batch),
                  static_cast<long long>(r.spec->m),
                  static_cast<long long>(r.spec->k),
                  static_cast<long long>(r.spec->n), r.scalar_gflops,
-                 r.blocked_gflops, r.parallel_gflops,
-                 i + 1 < rows.size() ? "," : "");
+                 r.blocked_gflops, r.parallel_gflops);
   }
+  // The GELU row names its own gated key: the GEMM rows' GFLOP/s mean
+  // nothing for an elementwise kernel.
+  std::fprintf(f,
+               "    {\"name\": \"gelu-mlp-hidden-b8\", \"m\": %lld, "
+               "\"n\": %lld, \"gelu_ns_per_elem\": %.4f, "
+               "\"tanh_ref_ns_per_elem\": %.4f, \"speedup_vs_libm\": %.4f, "
+               "\"gated\": [\"speedup_vs_libm\"]}\n",
+               static_cast<long long>(kGeluRows),
+               static_cast<long long>(kGeluCols), gelu.gelu_ns,
+               gelu.tanh_ref_ns, gelu.speedup());
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"summary\": {\"scalar_geomean\": %.4f, "
@@ -255,6 +307,13 @@ int main(int argc, char** argv) {
               geomean(rows, &ShapeResult::parallel_gflops) /
                   geomean(rows, &ShapeResult::scalar_gflops));
 
+  const GeluResult gelu = bench_gelu(reps * 4);
+  std::printf("\ngelu %lldx%lld (mlp hidden, b8): %.2f ns/elem, std::tanh "
+              "reference %.2f ns/elem (%.2fx)\n",
+              static_cast<long long>(kGeluRows),
+              static_cast<long long>(kGeluCols), gelu.gelu_ns,
+              gelu.tanh_ref_ns, gelu.speedup());
+
   // End-to-end: single-clip forward through the full extractor (all GEMMs
   // routed through the kernels), 1 thread vs the full intra-op budget.
   auto extractor = std::make_shared<core::ScenarioExtractor>(
@@ -275,7 +334,7 @@ int main(int argc, char** argv) {
               fwd_1t, fwd_nt, pool_threads, fwd_nt / fwd_1t);
 
   if (json_path != nullptr) {
-    write_json(json_path, rows, fwd_1t, fwd_nt, pool_threads);
+    write_json(json_path, rows, gelu, fwd_1t, fwd_nt, pool_threads);
     std::printf("wrote %s\n", json_path);
   }
   return 0;

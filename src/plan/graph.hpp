@@ -5,8 +5,8 @@
 // in execution order. Passes (passes.hpp) then rewrite it — constants fold,
 // reshapes collapse into aliases, adjacent ops fuse — and the memory planner
 // (memory.hpp) assigns every surviving intermediate an offset in a single
-// per-worker arena. The result executes through Plan (plan.hpp) with zero
-// heap allocation per forward.
+// per-worker arena. The result executes through Plan (plan.hpp), whose
+// heap allocations per forward are a fixed count per op, never per clip.
 //
 // Design invariants:
 //   * Ops stay in trace order. The dynamic path executed them in exactly

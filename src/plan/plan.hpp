@@ -4,8 +4,13 @@
 // fusions applied, every intermediate assigned an arena offset. Executing
 // it is a flat loop over ops calling the same blocked kernels (and the same
 // tsdx::par grains) the dynamic path uses, reading weights in place from
-// the frozen model and intermediates from a caller-provided arena — no heap
-// allocation per forward.
+// the frozen model and intermediates from a caller-provided arena.
+//
+// Allocation contract (plan_test): a warmed run's heap allocations are a
+// fixed count per op, the same at any batch size. Intermediates live in the
+// arena and GEMM pack buffers are per thread and reused; what remains is
+// each tsdx::par fan-out's chunk closure, plus its job record when the pool
+// has workers.
 //
 // Equivalence contract (tested by plan_test, gated by bench_k2_plan): a
 // plan's logits are bit-identical to the dynamic forward's at any thread

@@ -36,6 +36,13 @@ GemmMetrics& gemm_metrics() {
   return metrics;
 }
 
+/// Grow `buf` to at least `floats` (it never shrinks); return its storage.
+float* grown(std::vector<float>& buf, std::int64_t floats) {
+  const auto n = static_cast<std::size_t>(floats);
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
 detail::MmChunkFn chunk_fn(detail::Clone clone) {
 #if defined(TSDX_GEMM_AVX2_CLONE)
   if (clone == detail::Clone::kAvx2) return detail::avx2::mm_chunk;
@@ -61,14 +68,15 @@ void run(detail::MmChunkFn fn, Trans ta, Trans tb, std::int64_t batch,
   const std::int64_t kc_max = std::min(detail::kKC, k);
   const std::int64_t nc_max = std::min(detail::kNC, n);
   par::parallel_for(batch * m, grain, [&](std::int64_t r0, std::int64_t r1) {
-    // One pair of pack buffers per chunk, sized for the chunk's largest
-    // slice run; direct operands need none.
-    std::vector<float> apack, bpack;
-    if (!g.a_direct) {
-      apack.resize(static_cast<std::size_t>(std::min(r1 - r0, m) * kc_max));
-    }
-    if (!g.b_direct) bpack.resize(static_cast<std::size_t>(kc_max * nc_max));
-    fn(g, r0, r1, apack.data(), bpack.data());
+    // This thread's pack buffers, sized for the chunk's largest slice run;
+    // direct operands need none. They are reused by every later product on
+    // the thread, so a warmed caller's GEMMs allocate nothing. A chunk never
+    // re-enters the GEMM, so one pair per thread suffices.
+    thread_local std::vector<float> apack, bpack;
+    const std::int64_t a_floats =
+        g.a_direct ? 0 : std::min(r1 - r0, m) * kc_max;
+    const std::int64_t b_floats = g.b_direct ? 0 : kc_max * nc_max;
+    fn(g, r0, r1, grown(apack, a_floats), grown(bpack, b_floats));
   });
 }
 

@@ -69,10 +69,11 @@ inline void mm_tn(std::int64_t m, std::int64_t k, std::int64_t n,
 /// the weight-matrix case). Per C element the accumulation is the exact
 /// ascending-k multiply-add sequence of a per-slice mm() loop, so results
 /// are bit-identical to that loop at any thread count; what changes is the
-/// dispatch cost: one trace span, one metrics update, one pool invocation
-/// and one set of pack buffers for the whole batch, instead of one each per
-/// slice. The compiled plan (src/plan) runs every GEMM through here,
-/// attention's many tiny per-(clip, head) products included.
+/// dispatch cost: one trace span, one metrics update and one pool invocation
+/// for the whole batch, instead of one each per slice. Pack buffers are
+/// per thread and reused across calls, so a warmed call allocates none.
+/// The compiled plan (src/plan) runs every GEMM through here, attention's
+/// many tiny per-(clip, head) products included.
 void mm_batched(Trans ta, Trans tb, std::int64_t batch, std::int64_t m,
                 std::int64_t k, std::int64_t n, const float* a,
                 const float* b, std::int64_t b_stride, float* c);

@@ -79,6 +79,14 @@ Tensor binary_op(const char* name, const Tensor& a, const Tensor& b, F fwd,
       });
 }
 
+/// A copy of `out` for a backward closure, or null when no backward will be
+/// recorded for a result of `parent` (make_op_result drops the closure).
+std::shared_ptr<const std::vector<float>> save_for_backward(
+    const NodePtr& parent, const std::vector<float>& out) {
+  if (!tape_active({parent})) return nullptr;
+  return std::make_shared<const std::vector<float>>(out);
+}
+
 /// Generic elementwise unary op. dfdx receives (x, y) so ops like tanh can
 /// reuse the forward value.
 template <class F, class Dx>
@@ -89,8 +97,9 @@ Tensor unary_op(const Tensor& a, F fwd, Dx dfdx) {
   for (std::size_t i = 0; i < n; ++i) out[i] = fwd(av[i]);
 
   NodePtr an = a.node();
-  // Capture the forward output for backward closures that want y.
-  auto saved = std::make_shared<std::vector<float>>(out);
+  // Capture the forward output for backward closures that want y — only
+  // when a backward is recorded (inference keeps no copy).
+  auto saved = save_for_backward(an, out);
   return make_op_result(a.shape(), std::move(out), {an},
                         [an, saved, dfdx](Node& self) {
                           if (!an->requires_grad) return;
@@ -188,13 +197,7 @@ Tensor relu(const Tensor& a) {
 Tensor gelu(const Tensor& a) {
   Tensor out = unary_op(
       a, [](float x) { return kernels::gelu(x); },
-      [](float x, float) {
-        using kernels::kGeluA, kernels::kGeluC;
-        const float u = kGeluC * (x + kGeluA * x * x * x);
-        const float t = std::tanh(u);
-        const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-      });
+      [](float x, float) { return kernels::gelu_grad(x); });
   if (trace::active()) {
     trace::record({trace::OpKind::kGelu, "gelu", {a.node()}, out.node()});
   }
@@ -801,7 +804,7 @@ Tensor softmax_lastdim(const Tensor& a) {
     }
   });
   NodePtr an = a.node();
-  auto saved = std::make_shared<std::vector<float>>(out);
+  auto saved = save_for_backward(an, out);
   Tensor result = make_op_result(
       a.shape(), std::move(out), {an}, [an, saved, rows, d, grain](Node& self) {
         if (!an->requires_grad) return;
@@ -839,7 +842,7 @@ Tensor log_softmax_lastdim(const Tensor& a) {
     }
   });
   NodePtr an = a.node();
-  auto saved = std::make_shared<std::vector<float>>(out);
+  auto saved = save_for_backward(an, out);
   Tensor result = make_op_result(
       a.shape(), std::move(out), {an}, [an, saved, rows, d, grain](Node& self) {
         if (!an->requires_grad) return;

@@ -11,15 +11,21 @@
 //      deterministic and accurate.
 //   4. The autograd ops routed through the kernels (matmul, matmul_nt) still
 //      pass finite-difference gradchecks.
+//   5. The libm-free GELU row kernel stays within its accuracy bound of the
+//      exact tanh-approximation GELU and keeps tanhf's special values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "tensor/gradcheck.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/parallel_for.hpp"
+#include "tensor/kernels/rows.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/rng.hpp"
 
@@ -220,6 +226,55 @@ TEST(GemmKernelTest, BatchedMatchesPerSliceLoopBitExact) {
     }
     par::set_threads(1);
   }
+}
+
+/// The tanh-approximation GELU of x, evaluated in double with libm's tanh.
+double gelu_reference(float x) {
+  const double xd = x;
+  return 0.5 * xd *
+         (1.0 + std::tanh(0.7978845608028654 * (xd + 0.044715 * xd * xd * xd)));
+}
+
+/// kernels::gelu's accuracy contract: |gelu(x) - ref| <= 1e-6 max(1, |ref|).
+double gelu_error(float x) {
+  const double ref = gelu_reference(x);
+  return std::abs(static_cast<double>(kn::gelu(x)) - ref) /
+         std::max(1.0, std::abs(ref));
+}
+
+TEST(RowKernelTest, GeluMeetsItsAccuracyBound) {
+  // kernels::gelu evaluates tanh as a rational in plain float arithmetic
+  // (so its loops vectorize); this pins how far that may drift from the
+  // exact function, densely over the range where GELU is not yet x or 0.
+  constexpr double kBound = 1e-6;
+  double worst = 0.0;
+  float worst_x = 0.0f;
+  for (std::int64_t i = -120000; i <= 120000; ++i) {
+    const float x = static_cast<float>(i) * 1e-4f;
+    const double err = gelu_error(x);
+    if (err > worst) {
+      worst = err;
+      worst_x = x;
+    }
+  }
+  EXPECT_LE(worst, kBound) << "worst at x=" << worst_x;
+
+  for (const float x : {1e-20f, 5.0f, 1e4f, 1e13f}) {
+    EXPECT_LE(gelu_error(x), kBound) << "x=" << x;
+    EXPECT_LE(gelu_error(-x), kBound) << "x=" << -x;
+  }
+}
+
+TEST(RowKernelTest, GeluKeepsSignedZeroInfinityAndNaN) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(kn::gelu(0.0f), 0.0f);
+  EXPECT_FALSE(std::signbit(kn::gelu(0.0f)));
+  EXPECT_EQ(kn::gelu(-0.0f), 0.0f);
+  EXPECT_TRUE(std::signbit(kn::gelu(-0.0f)));
+  EXPECT_EQ(kn::gelu(kInf), kInf);
+  // -inf * (1 + tanh(-inf)) is -inf * 0: NaN, as with tanhf.
+  EXPECT_TRUE(std::isnan(kn::gelu(-kInf)));
+  EXPECT_TRUE(std::isnan(kn::gelu(std::numeric_limits<float>::quiet_NaN())));
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

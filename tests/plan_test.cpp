@@ -23,15 +23,19 @@
 //   request identically to the dynamic server.
 // * Metrics: a plan's GEMMs run through tensor::kernels, so one Plan::run
 //   adds exactly its matmul-family ops' FLOPs to gemm.flops.
+// * Allocation contract: a warmed Plan::run makes as many heap allocations
+//   at batch 8 as at batch 1 (this binary counts operator new calls).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -57,7 +61,46 @@ namespace serve = tsdx::serve;
 namespace sim = tsdx::sim;
 namespace tt = tsdx::tensor;
 
+// ---- allocation counting ----------------------------------------------------
+// This binary replaces the global allocator so a test can count operator
+// new calls (AllocationCount below); otherwise it is plain malloc/free. The
+// library's array and nothrow forms forward to these. The deletes stay out
+// of line so GCC does not see free() paired with operator new.
+
 namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+/// Counts operator new calls, on every thread, while alive.
+class AllocationCount {
+ public:
+  AllocationCount() : start_(g_allocations.load()) {
+    g_count_allocations.store(true);
+  }
+  ~AllocationCount() { g_count_allocations.store(false); }
+  AllocationCount(const AllocationCount&) = delete;
+  AllocationCount& operator=(const AllocationCount&) = delete;
+
+  std::uint64_t value() const { return g_allocations.load() - start_; }
+
+ private:
+  const std::uint64_t start_;
+};
 
 /// CI failure artifacts. When TSDX_PLAN_ARTIFACT_DIR is set, a bit-exactness
 /// mismatch writes the offending plan's debug_dump() there, and the span
@@ -329,6 +372,42 @@ TEST(PlanTest, RunCountsEveryGemmFlop) {
   const std::uint64_t before = flops.value();
   compiled->run(values.data(), arena.data());
   EXPECT_EQ(flops.value() - before, expected);
+}
+
+TEST(PlanTest, WarmedRunAllocationsDoNotGrowWithBatch) {
+  // The repo benchmark's serving model (perfbench): DividedST, 32 px,
+  // 8 frames, dim 48, depth 4. Intermediates live in the caller's arena and
+  // GEMM pack buffers are per thread and reused, so what a warmed run still
+  // allocates is per op, never per clip or per attention slice.
+  core::ModelConfig mc;
+  mc.frames = 8;
+  mc.image_size = 32;
+  mc.patch_size = 8;
+  mc.tubelet_frames = 1;
+  mc.dim = 48;
+  mc.depth = 4;
+  mc.heads = 4;
+  mc.mlp_ratio = 2;
+  mc.attention = core::AttentionKind::kDividedST;
+  const auto extractor = frozen_extractor(mc);
+  par::set_threads(1);
+
+  std::vector<std::uint64_t> counts;
+  for (const std::int64_t batch : {1, 8}) {
+    const tt::Shape shape = {batch, mc.frames, mc.channels, mc.image_size,
+                             mc.image_size};
+    const auto compiled =
+        plan::Plan::compile(extractor.model(), shape, plan::CompileOptions{});
+    const std::vector<float> values = probe_values(shape);
+    std::vector<float> arena(compiled->arena_bytes() / sizeof(float));
+    compiled->run(values.data(), arena.data());  // warm-up
+    const AllocationCount count;
+    compiled->run(values.data(), arena.data());
+    counts.push_back(count.value());
+  }
+  EXPECT_EQ(counts[0], counts[1])
+      << "heap allocations per warmed Plan::run: " << counts[0]
+      << " at batch 1, " << counts[1] << " at batch 8";
 }
 
 TEST(PlanTest, ExecutorReusesArenaAndMatchesDynamicPath) {

@@ -6,7 +6,9 @@ Compares a fresh bench JSON report against its committed baseline and fails
 on any shape. Which metrics are gated is part of the report itself: a
 top-level "gated_metrics" array names per-shape keys (all higher-is-better);
 reports without the field get the historical bench_k1_kernels defaults
-(blocked_gflops / parallel_gflops), so existing baselines keep working.
+(blocked_gflops / parallel_gflops), so existing baselines keep working. A
+shape row may carry its own "gated" array instead (bench_k1_kernels' GELU
+row gates its speedup_vs_libm ratio, not GFLOP/s).
 
 Gated benches and their committed baselines:
 
@@ -64,6 +66,11 @@ def gated_metrics(report: dict) -> tuple[str, ...]:
     return tuple(report.get("gated_metrics", DEFAULT_GATED_METRICS))
 
 
+def row_gated(row: dict, report: dict) -> tuple[str, ...]:
+    """The row's own "gated" keys, else the report's gated metrics."""
+    return tuple(row.get("gated", gated_metrics(report)))
+
+
 def exact_metrics(*reports: dict) -> set[str]:
     """Metrics compared for equality and never derated (any report's list)."""
     return {m for r in reports for m in r.get("exact_metrics", ())}
@@ -74,14 +81,12 @@ def derate(report: dict, factor: float) -> dict:
     out["derated_by"] = factor
     out["shapes"] = []
     exact = exact_metrics(report)
-    # scalar_gflops is ungated context in the K1 report but derated alongside
-    # so the baseline file reads consistently.
-    derated_keys = [k for k in ("scalar_gflops",) + gated_metrics(report)
-                    if k not in exact]
     for shape in report["shapes"]:
         row = dict(shape)
-        for key in derated_keys:
-            if key in row:
+        # scalar_gflops is ungated context in the K1 report but derated
+        # alongside so the baseline file reads consistently.
+        for key in ("scalar_gflops",) + row_gated(shape, report):
+            if key in row and key not in exact:
                 row[key] = round(row[key] * factor, 4)
         out["shapes"].append(row)
     if "summary" in out:
@@ -108,7 +113,7 @@ def compare(current: dict, baseline: dict, threshold: float) -> tuple[str, list[
         if base is None:
             lines.append(f"| {name} | — | — | — | — | no baseline (new shape) |")
             continue
-        for metric in gated_metrics(current):
+        for metric in row_gated(shape, current):
             cur_v, base_v = shape.get(metric), base.get(metric)
             # A gated metric absent from either side is a gate failure, not a
             # skip: a silently-missing metric is exactly how a regression
